@@ -195,10 +195,18 @@ func TestSeedDiscipline(t *testing.T) {
 	if _, err := newSpec("nope", 1); err == nil {
 		t.Error("unknown workload accepted")
 	}
-	cold, _ := newSpec("cheap-cold", 9)
-	warm, _ := newSpec("cheap-warm", 9)
-	if cold.cfg.Describe() != warm.cfg.Describe() || cold.trials != warm.trials {
-		t.Error("cheap-cold and cheap-warm run different campaigns at one seed")
+	// Each pair differs only in how it uses the cache.
+	for _, pair := range [][2]string{{"gauntlet-steal", "gauntlet-cold"}, {"cheap-cold", "cheap-warm"}} {
+		a, _ := newSpec(pair[0], 9)
+		b, _ := newSpec(pair[1], 9)
+		pa, pb := mustSetup(t, a).points, mustSetup(t, b).points
+		same := len(pa) == len(pb) && a.trials == b.trials && a.schedule == b.schedule && a.cache != b.cache
+		for i := 0; same && i < len(pa); i++ {
+			same = pa[i].Describe() == pb[i].Describe()
+		}
+		if !same {
+			t.Errorf("%s and %s run different campaigns at one seed", pair[0], pair[1])
+		}
 	}
 }
 

@@ -26,6 +26,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"syscall"
 	"time"
 )
 
@@ -223,6 +224,9 @@ func measureCampaigns(ctx context.Context, sp spec, st *setup, root string, ts *
 	var tailPm, gapsPer int
 	start := time.Now()
 	for len(walls) < minIterations || time.Since(start) < window {
+		// Write back the previous campaign's deletions first, so that
+		// they do not land inside the set-up timing either.
+		syscall.Sync()
 		if perCampaign > 0 {
 			extra, err := ts.setUp(ctx, sp, root, perCampaign)
 			if err != nil {

@@ -54,7 +54,7 @@ type spec struct {
 	cache    cacheUse
 }
 
-var workloadNames = []string{"gauntlet-steal", "cheap-cold", "cheap-warm"}
+var workloadNames = []string{"gauntlet-steal", "gauntlet-cold", "cheap-cold", "cheap-warm"}
 
 // splitmix64 scrambles the benchmark seed into the campaigns' base
 // seed, so neighbouring benchmark seeds share no trial seeds (trial t
@@ -72,18 +72,22 @@ func splitmix64(x uint64) uint64 {
 func newSpec(name string, seed uint64) (spec, error) {
 	base := splitmix64(seed)
 	switch name {
-	case "gauntlet-steal":
+	case "gauntlet-steal", "gauntlet-cold":
 		scen, ok := multicast.ScenarioByName("jammer-gauntlet")
 		if !ok {
 			return spec{}, fmt.Errorf("scenario jammer-gauntlet is not registered")
 		}
-		return spec{
+		s := spec{
 			name:     name,
 			scenario: scen,
 			opts:     multicast.ScenarioOptions{N: 256, Budget: 100_000, Seed: base},
 			trials:   gauntletTrials,
 			schedule: multicast.CampaignScheduleSteal,
-		}, nil
+		}
+		if name == "gauntlet-cold" {
+			s.cache = coldCache
+		}
+		return s, nil
 	case "cheap-cold", "cheap-warm":
 		s := spec{
 			name:     name,
