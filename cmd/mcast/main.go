@@ -28,10 +28,10 @@
 //	mcast -merge d0.json d1.json
 //
 // Driven campaigns supervise the whole shard fleet in one command:
-// -drive k launches k shard workers (in-process, or as mcast
-// subprocesses with -drive-exec), checkpoints each shard at grid-cell
-// granularity into -campaign-dir, retries failed shards, and merges the
-// artifacts automatically. A killed campaign resumes where it stopped:
+// -drive k launches k in-process shard workers, checkpoints each shard
+// at grid-cell granularity into -campaign-dir, retries failed shards,
+// and merges the artifacts automatically. A killed campaign resumes
+// where it stopped:
 //
 //	mcast -scenario duel -n 64 -trials 50000 -drive 3 -campaign-dir camp -summary-out duel.json
 //	# …killed mid-run? finish it:
@@ -99,18 +99,16 @@ func main() {
 		trace       = flag.Bool("trace", false, "print a per-1000-slot trace of the first trial")
 		curve       = flag.Bool("curve", false, "print sparkline charts of the run (informed/halted/jammed/traffic)")
 		alpha       = flag.Float64("alpha", 0, "override MultiCastAdv α (0 = preset)")
-		engName     = flag.String("engine", "auto", "slot-loop engine: auto|dense|sparse|event (identical results; dense is the reference loop)")
+		engName     = flag.String("engine", "auto", "slot-loop engine: auto|dense|event (identical results; dense is the reference loop)")
 		shardStr    = flag.String("shard", "", "run shard i/k of the trial batch or sweep grid (e.g. 0/3); implies summary output")
 		sumOut      = flag.String("summary-out", "", "write the mergeable summary JSON to this path")
 		merge       = flag.Bool("merge", false, "merge the shard summary files given as arguments and print the combined summary")
 		workers     = flag.Int("workers", 0, "trial worker pool size (0 = GOMAXPROCS); does not affect results")
-		nodeWorkers = flag.Int("node-workers", 1, "goroutines stepping nodes inside each slot (1 = serial); does not affect results")
 		scenName    = flag.String("scenario", "", "run a registry scenario sweep (-trials per point; overrides -alg/-adv; see -list-scenarios)")
 		listScen    = flag.Bool("list-scenarios", false, "list the scenario registry and exit")
 		quick       = flag.Bool("quick", false, "with -scenario: expand the trimmed (smoke-test) point list")
 		timeout     = flag.Duration("timeout", 0, "abort the whole run after this long (e.g. 30m; interrupts in-flight executions cleanly)")
 		drive       = flag.Int("drive", 0, "drive the campaign with this many supervised shard workers (checkpointed; see -campaign-dir)")
-		driveExec   = flag.Bool("drive-exec", false, "with -drive: launch shard workers as mcast subprocesses instead of in-process")
 		driveSched  = flag.String("drive-schedule", "", "with -drive: grid-cell scheduling — static (default: shard i computes cells g = i mod k) or steal (one work-stealing pool over the whole grid; artifacts are bit-identical either way)")
 		progJSON    = flag.String("progress-json", "", "with -drive: also stream progress events as JSON lines to this path (\"-\" = stdout; the human report then moves to stderr)")
 		resume      = flag.Bool("resume", false, "with -drive: resume an interrupted campaign from -campaign-dir")
@@ -139,7 +137,7 @@ func main() {
 		fatal(fmt.Errorf("-drive %d: shard worker count must be positive", *drive))
 	}
 	if *drive == 0 {
-		for _, name := range []string{"drive-exec", "drive-schedule", "progress-json", "resume",
+		for _, name := range []string{"drive-schedule", "progress-json", "resume",
 			"campaign-dir", "retries", "checkpoint-every", "cache-dir",
 			"crash-after", "chaos-seed", "chaos-faults", "chaos-log"} {
 			if setFlags[name] {
@@ -153,32 +151,12 @@ func main() {
 		if *merge {
 			fatal(fmt.Errorf("-merge cannot combine with -drive (a driven campaign merges automatically)"))
 		}
-		if *driveExec {
-			// Subprocess workers neither checkpoint through the parent
-			// nor report cells to it — refuse the knobs instead of
-			// silently ignoring them.
-			for _, name := range []string{"checkpoint-every", "crash-after", "chaos-seed", "chaos-faults", "chaos-log"} {
-				if setFlags[name] {
-					fatal(fmt.Errorf("-%s has no effect with -drive-exec (subprocess workers restart from scratch)", name))
-				}
-			}
-			if setFlags["cache-dir"] {
-				// The cache seam lives in the in-process grid; children
-				// would simulate everything and the totals would lie.
-				fatal(fmt.Errorf("-cache-dir needs in-process shard workers (drop -drive-exec)"))
-			}
-		}
 		if *chaosFaults == "" && (setFlags["chaos-seed"] || setFlags["chaos-log"]) {
 			fatal(fmt.Errorf("-chaos-seed and -chaos-log require -chaos-faults (the fault schedule)"))
 		}
 	}
 	driveSchedule, err := multicast.ParseCampaignSchedule(*driveSched)
 	fatal(err)
-	if driveSchedule == multicast.CampaignScheduleSteal && *driveExec {
-		// Stealing streams per-cell results back into one fold stage;
-		// subprocess workers cannot.
-		fatal(fmt.Errorf("-drive-schedule steal needs in-process shard workers (drop -drive-exec)"))
-	}
 	var chaosInj *multicast.ChaosInjector
 	if *chaosFaults != "" {
 		rules, err := multicast.ParseChaosRules(*chaosFaults)
@@ -215,9 +193,9 @@ func main() {
 		// be silently dropped is refused instead.
 		scenFlags := map[string]bool{
 			"scenario": true, "quick": true, "n": true, "budget": true, "seed": true,
-			"trials": true, "engine": true, "workers": true, "node-workers": true,
+			"trials": true, "engine": true, "workers": true,
 			"shard": true, "summary-out": true,
-			"timeout": true, "drive": true, "drive-exec": true, "drive-schedule": true,
+			"timeout": true, "drive": true, "drive-schedule": true,
 			"progress-json": true, "resume": true,
 			"campaign-dir": true, "retries": true, "checkpoint-every": true, "cache-dir": true,
 			"crash-after": true,
@@ -241,17 +219,17 @@ func main() {
 		}
 		if *drive > 0 {
 			fatal(deadline(driveScenario(ctx, *scenName, opts, *trials, driveFlags{
-				shards: *drive, exec: *driveExec, resume: *resume,
+				shards: *drive, resume: *resume,
 				schedule: driveSchedule, progressJSON: *progJSON,
 				dir: campaignDir(*campDir, *sumOut), workers: *workers,
 				retries: *retries, ckptEvery: *ckptEvery, engine: engine,
-				nodeWorkers: *nodeWorkers, cacheDir: *cacheDir,
+				cacheDir:   *cacheDir,
 				crashAfter: *crashAfter, sumOut: *sumOut,
 				chaos: chaosInj, chaosLog: *chaosLog,
 			})))
 			return
 		}
-		fatal(deadline(runScenario(ctx, *scenName, opts, engine, *nodeWorkers, *trials, shard, *workers, *sumOut)))
+		fatal(deadline(runScenario(ctx, *scenName, opts, engine, *trials, shard, *workers, *sumOut)))
 		return
 	}
 
@@ -300,16 +278,15 @@ func main() {
 	}
 
 	cfg := multicast.Config{
-		N:           *n,
-		Algorithm:   alg,
-		Params:      params,
-		Channels:    *channels,
-		Adversary:   adv,
-		Budget:      *budget,
-		Seed:        *seed,
-		MaxSlots:    *maxSlots,
-		Engine:      engine,
-		NodeWorkers: *nodeWorkers,
+		N:         *n,
+		Algorithm: alg,
+		Params:    params,
+		Channels:  *channels,
+		Adversary: adv,
+		Budget:    *budget,
+		Seed:      *seed,
+		MaxSlots:  *maxSlots,
+		Engine:    engine,
 	}
 
 	if *trace {
@@ -336,11 +313,11 @@ func main() {
 	if *drive > 0 {
 		cfg.Observer = nil
 		fatal(deadline(driveSingle(ctx, cfg, *trials, driveFlags{
-			shards: *drive, exec: *driveExec, resume: *resume,
+			shards: *drive, resume: *resume,
 			schedule: driveSchedule, progressJSON: *progJSON,
 			dir: campaignDir(*campDir, *sumOut), workers: *workers,
 			retries: *retries, ckptEvery: *ckptEvery, engine: engine,
-			nodeWorkers: *nodeWorkers, cacheDir: *cacheDir,
+			cacheDir:   *cacheDir,
 			crashAfter: *crashAfter, sumOut: *sumOut,
 			chaos: chaosInj, chaosLog: *chaosLog,
 		})))

@@ -4,40 +4,72 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
-
-	"multicast"
 )
 
+// allocSlack is how far head's allocs/slot may grow over the committed
+// report's before the gate fails: a factor, because allocation counts
+// are deterministic per workload and hardware-independent, so the
+// committed value is the baseline to hold, not a noise floor to pad.
+// The slack absorbs the one-time per-run buffer growth, which a -quick
+// run (3 trials) amortises over ~8× fewer slots than the committed
+// full run (25 trials); any per-slot garbage multiplies the rate far
+// past it.
+const allocSlack = 4
+
+// gateCheck is one comparison of the perf gate: a measured value, its
+// committed counterpart, and the bound it had to meet.
+type gateCheck struct {
+	name                  string
+	got, committed, bound float64
+	pass                  bool
+}
+
+// allocBound is the allocs/slot ceiling for a committed baseline: the
+// relative bound, never looser than the former absolute one (baseline
+// + half an allocation per slot).
+func allocBound(committed float64) float64 {
+	return min(allocSlack*committed, committed+0.5)
+}
+
+// compareReports applies the gate's checks to a head measurement and the
+// committed report. The checks are chosen to be machine-portable — CI
+// runners and dev boxes differ, so raw slots/s against a committed
+// absolute would gate on hardware, not code:
+//
+//   - the speedup ratio (event slots/s ÷ dense) must stay within
+//     tolerance of the committed ratio — both engines run on the same
+//     box in the same process, so the ratio cancels the hardware out and
+//     catches fast-path regressions;
+//   - allocs/slot per engine must stay within allocSlack of the
+//     committed value — allocation counts are deterministic per
+//     workload, hardware-independent, and the first thing accidental
+//     per-slot garbage moves.
+func compareReports(head, committed benchReport, tolerance float64) []gateCheck {
+	floor := tolerance * committed.EventSpeedup
+	checks := []gateCheck{{
+		name: "speedup event/dense", got: head.EventSpeedup, committed: committed.EventSpeedup,
+		bound: floor, pass: head.EventSpeedup >= floor,
+	}}
+	for _, c := range []struct {
+		name      string
+		got, base float64
+	}{
+		{"allocs/slot dense", head.Dense.AllocsPerSlot, committed.Dense.AllocsPerSlot},
+		{"allocs/slot event", head.Event.AllocsPerSlot, committed.Event.AllocsPerSlot},
+	} {
+		bound := allocBound(c.base)
+		checks = append(checks, gateCheck{name: c.name, got: c.got, committed: c.base, bound: bound, pass: c.got <= bound})
+	}
+	return checks
+}
+
 // runEngineCheck is the CI perf-regression gate: it re-measures the
-// frozen engine scenarios and compares them against a committed
-// BENCH_sim.json, failing when head has regressed past the tolerance.
-//
-// The checks are chosen to be machine-portable — CI runners and dev
-// boxes differ, so raw slots/s against a committed absolute would gate
-// on hardware, not code:
-//
-//   - speedup ratios (sparse slots/s ÷ dense, event slots/s ÷ dense)
-//     must stay within tolerance of the committed ratios — all engines
-//     run on the same box in the same process, so the ratio cancels the
-//     hardware out and catches fast-path regressions;
-//   - allocs/slot per engine must not grow by more than half an
-//     allocation — allocation counts are deterministic per workload,
-//     hardware-independent, and the first thing accidental per-slot
-//     garbage moves;
-//   - the parallel (NodeWorkers) speedup ratio is compared the same
-//     way, but only when this machine's GOMAXPROCS matches the
-//     committed report's — a fan-out measured on k cores says nothing
-//     about one measured on a different k.
-//
-// A check that cannot run prints an explicit `SKIP (reason)` line and
-// is counted in the exit summary, so a gate that quietly measured
-// nothing is visible in the CI log.
-//
-// Absolute throughput is still printed for context. tolerance is the
-// fraction of the committed ratio head must retain (0.85 = within 15%);
-// raising it above 1 demands head be faster than the baseline, which is
-// how the gate itself is smoke-tested.
+// frozen engine scenario and compares it against a committed
+// BENCH_sim.json (see compareReports), failing when head has regressed
+// past the bounds. Absolute throughput is printed for context only.
+// tolerance is the fraction of the committed speedup head must retain
+// (0.85 = within 15%); raising it above 1 demands head be faster than
+// the baseline, which is how the gate itself is smoke-tested.
 func runEngineCheck(path string, quick bool, tolerance float64) error {
 	if tolerance <= 0 {
 		return fmt.Errorf("-tolerance %v: must be positive", tolerance)
@@ -50,138 +82,36 @@ func runEngineCheck(path string, quick bool, tolerance float64) error {
 	if err := json.Unmarshal(data, &committed); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	if committed.Dense.SlotsPerSec <= 0 || committed.Sparse.SlotsPerSec <= 0 {
-		return fmt.Errorf("%s: not an engine benchmark report (missing dense/sparse throughput)", path)
+	if committed.Dense.SlotsPerSec <= 0 || committed.Event.SlotsPerSec <= 0 || committed.EventSpeedup <= 0 {
+		return fmt.Errorf("%s: not an engine benchmark report (missing dense/event throughput)", path)
 	}
 
 	trials := uint64(benchTrials)
-	ptrials := uint64(benchParallelTrials)
 	if quick {
 		trials = benchTrialsQuick
-		ptrials = benchParallelTrialsQuick
 	}
-	// Warm-up, as in the generator, so lazy one-time costs don't skew the
-	// dense leg of the ratio.
-	if _, err := runEngine(benchScenario(), multicast.EngineDense, 1, trials); err != nil {
-		return err
-	}
-	dense, err := runEngine(benchScenario(), multicast.EngineDense, 1, trials)
+	dense, event, err := measureEngines(trials)
 	if err != nil {
 		return err
 	}
-	sparse, err := runEngine(benchScenario(), multicast.EngineSparse, 1, trials)
-	if err != nil {
-		return err
-	}
+	head := benchReport{Dense: dense, Event: event, EventSpeedup: event.SlotsPerSec / dense.SlotsPerSec}
 
 	var failures []string
-	var skipped int
-	check := func(name string, got, committedV, floor float64, pass bool) {
+	for _, c := range compareReports(head, committed, tolerance) {
 		status := "ok"
-		if !pass {
+		if !c.pass {
 			status = "FAIL"
-			failures = append(failures, name)
+			failures = append(failures, c.name)
 		}
-		fmt.Printf("%-22s measured %.3f  committed %.3f  floor %.3f  %s\n",
-			name, got, committedV, floor, status)
+		fmt.Printf("%-22s measured %.4g  committed %.4g  bound %.4g  %s\n",
+			c.name, c.got, c.committed, c.bound, status)
 	}
-	// skip logs an explicitly skipped check; skips are counted into the
-	// exit summary so a gate that silently measured nothing is visible.
-	skip := func(name, reason string) {
-		skipped++
-		fmt.Printf("%-22s SKIP (%s)\n", name, reason)
-	}
-
-	speedup := sparse.SlotsPerSec / dense.SlotsPerSec
-	check("speedup sparse/dense", speedup, committed.Speedup,
-		tolerance*committed.Speedup, speedup >= tolerance*committed.Speedup)
-
-	var event engineResult
-	if committed.Event == nil || committed.EventSpeedup <= 0 {
-		skip("speedup event/dense", "committed report predates the event engine")
-	} else {
-		event, err = runEngine(benchScenario(), multicast.EngineEvent, 1, trials)
-		if err != nil {
-			return err
-		}
-		check("speedup event/dense", event.SlotsPerSec/dense.SlotsPerSec, committed.EventSpeedup,
-			tolerance*committed.EventSpeedup, event.SlotsPerSec/dense.SlotsPerSec >= tolerance*committed.EventSpeedup)
-	}
-
-	allocChecks := []struct {
-		name      string
-		got, base float64
-	}{
-		{"allocs/slot dense", dense.AllocsPerSlot, committed.Dense.AllocsPerSlot},
-		{"allocs/slot sparse", sparse.AllocsPerSlot, committed.Sparse.AllocsPerSlot},
-	}
-	if committed.Event != nil && event.TrialsPassed > 0 {
-		allocChecks = append(allocChecks, struct {
-			name      string
-			got, base float64
-		}{"allocs/slot event", event.AllocsPerSlot, committed.Event.AllocsPerSlot})
-	}
-	for _, c := range allocChecks {
-		if c.base == 0 && c.got > 0 {
-			// A report generated before allocs/slot existed: nothing to
-			// compare, say so rather than silently passing.
-			skip(c.name, fmt.Sprintf("measured %.3f but committed report has no alloc baseline", c.got))
-			continue
-		}
-		check(c.name, c.got, c.base, c.base+0.5, c.got <= c.base+0.5)
-	}
-
-	if committed.Parallel != nil && committed.ParallelBaseline != nil && committed.ParallelSpeedup > 0 {
-		// Measure the fan-out legs unconditionally: allocation counts are
-		// deterministic per (workload, fan-out width), so the parallel
-		// allocs/slot gates on every machine — the committed worker count
-		// keeps the widths comparable — even where the speedup ratio
-		// below must be skipped.
-		workers := committed.ParallelWorkers
-		if workers < 2 {
-			workers = resolveParallelWorkers(0)
-		}
-		pbase, err := runEngine(benchParallelScenario(), multicast.EngineDense, 1, ptrials)
-		if err != nil {
-			return err
-		}
-		ppar, err := runEngine(benchParallelScenario(), multicast.EngineDense, workers, ptrials)
-		if err != nil {
-			return err
-		}
-		for _, c := range []struct {
-			name      string
-			got, base float64
-		}{
-			{"allocs/slot par-base", pbase.AllocsPerSlot, committed.ParallelBaseline.AllocsPerSlot},
-			{"allocs/slot parallel", ppar.AllocsPerSlot, committed.Parallel.AllocsPerSlot},
-		} {
-			if c.base == 0 && c.got > 0 {
-				skip(c.name, fmt.Sprintf("measured %.3f but committed report has no alloc baseline", c.got))
-				continue
-			}
-			check(c.name, c.got, c.base, c.base+0.5, c.got <= c.base+0.5)
-		}
-		if g := runtime.GOMAXPROCS(0); g != committed.GOMAXPROCS {
-			// Fan-out ratios are not comparable across core counts.
-			skip("parallel speedup", fmt.Sprintf("gomaxprocs %d != %d", g, committed.GOMAXPROCS))
-		} else {
-			pspeed := ppar.SlotsPerSec / pbase.SlotsPerSec
-			check("parallel speedup", pspeed, committed.ParallelSpeedup,
-				tolerance*committed.ParallelSpeedup, pspeed >= tolerance*committed.ParallelSpeedup)
-		}
-	}
-
-	fmt.Printf("context: dense %.0f slots/s (committed %.0f), sparse %.0f slots/s (committed %.0f)\n",
-		dense.SlotsPerSec, committed.Dense.SlotsPerSec, sparse.SlotsPerSec, committed.Sparse.SlotsPerSec)
-	if committed.Event != nil && event.TrialsPassed > 0 {
-		fmt.Printf("context: event %.0f slots/s (committed %.0f)\n",
-			event.SlotsPerSec, committed.Event.SlotsPerSec)
-	}
+	fmt.Printf("context: dense %.0f slots/s (committed %.0f), event %.0f slots/s (committed %.0f)\n",
+		dense.SlotsPerSec, committed.Dense.SlotsPerSec, event.SlotsPerSec, committed.Event.SlotsPerSec)
 	if len(failures) > 0 {
-		return fmt.Errorf("perf gate: %d check(s) regressed past tolerance %.2f (%d skipped): %v",
-			len(failures), tolerance, skipped, failures)
+		return fmt.Errorf("perf gate: %d check(s) regressed past their bounds (tolerance %.2f): %v",
+			len(failures), tolerance, failures)
 	}
-	fmt.Printf("perf gate: all checks within tolerance %.2f of %s (%d skipped)\n", tolerance, path, skipped)
+	fmt.Printf("perf gate: all checks within bounds of %s (tolerance %.2f)\n", path, tolerance)
 	return nil
 }

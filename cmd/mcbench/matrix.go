@@ -13,8 +13,8 @@ import (
 
 // matrixWorkload is one row of the engine benchmark matrix: an algorithm
 // at a given schedule density. Density is what separates the engines —
-// the sparse wake-list engine wins exactly when few nodes act per slot —
-// so each algorithm appears at the densities that matter for it.
+// the event engine wins exactly when few nodes act per slot — so each
+// algorithm appears at the densities that matter for it.
 type matrixWorkload struct {
 	name string
 	cfg  multicast.Config
@@ -37,9 +37,12 @@ func matrixWorkloads() []matrixWorkload {
 	return rows
 }
 
+// matrixTrials is the trial count per cell; each cell is timed in
+// matrixReps interleaved passes and reports its fastest (see benchReps).
 const (
 	matrixTrials      = 8
 	matrixTrialsQuick = 2
+	matrixReps        = 5
 )
 
 // matrixCell is one (workload, engine) measurement.
@@ -50,15 +53,17 @@ type matrixCell struct {
 }
 
 // matrixRow is one workload's measurements across engines. Speedups are
-// relative to the dense reference loop.
+// relative to the dense reference loop; AutoVsBest is Auto's throughput
+// as a fraction of the faster explicit engine's (1 = Auto chose the
+// winner at no cost).
 type matrixRow struct {
 	Workload     string     `json:"workload"`
 	Trials       int        `json:"trials"`
 	Dense        matrixCell `json:"dense"`
-	Sparse       matrixCell `json:"sparse"`
 	Event        matrixCell `json:"event"`
-	Speedup      float64    `json:"speedup"`
+	Auto         matrixCell `json:"auto"`
 	EventSpeedup float64    `json:"event_speedup"`
+	AutoVsBest   float64    `json:"auto_vs_best"`
 }
 
 // runMatrixCell measures one workload on one engine. Trials run through
@@ -91,39 +96,41 @@ func runMatrix(outPath string, quick bool) error {
 	}
 	rows := make([]matrixRow, 0, len(matrixWorkloads()))
 	for _, w := range matrixWorkloads() {
-		dense, err := runMatrixCell(w.cfg, multicast.EngineDense, trials)
-		if err != nil {
-			return fmt.Errorf("%s dense: %w", w.name, err)
+		var cells [3]matrixCell
+		for rep := 0; rep < matrixReps; rep++ {
+			for i, engine := range []multicast.Engine{multicast.EngineDense, multicast.EngineEvent, multicast.EngineAuto} {
+				cell, err := runMatrixCell(w.cfg, engine, trials)
+				if err != nil {
+					return fmt.Errorf("%s %v: %w", w.name, engine, err)
+				}
+				if rep == 0 || cell.Seconds < cells[i].Seconds {
+					cells[i] = cell
+				}
+			}
 		}
-		sparse, err := runMatrixCell(w.cfg, multicast.EngineSparse, trials)
-		if err != nil {
-			return fmt.Errorf("%s sparse: %w", w.name, err)
-		}
-		event, err := runMatrixCell(w.cfg, multicast.EngineEvent, trials)
-		if err != nil {
-			return fmt.Errorf("%s event: %w", w.name, err)
-		}
+		dense, event, auto := cells[0], cells[1], cells[2]
 		// The matrix doubles as an engine-parity check on every workload.
-		if dense.Slots != sparse.Slots || dense.Slots != event.Slots {
-			return fmt.Errorf("%s: engine divergence — dense %d slots, sparse %d, event %d",
-				w.name, dense.Slots, sparse.Slots, event.Slots)
+		if dense.Slots != event.Slots || dense.Slots != auto.Slots {
+			return fmt.Errorf("%s: engine divergence — dense %d slots, event %d, auto %d",
+				w.name, dense.Slots, event.Slots, auto.Slots)
 		}
 		rows = append(rows, matrixRow{
 			Workload: w.name, Trials: trials,
-			Dense: dense, Sparse: sparse, Event: event,
-			Speedup:      sparse.SlotsPerSec / dense.SlotsPerSec,
+			Dense: dense, Event: event, Auto: auto,
 			EventSpeedup: event.SlotsPerSec / dense.SlotsPerSec,
+			AutoVsBest:   auto.SlotsPerSec / max(dense.SlotsPerSec, event.SlotsPerSec),
 		})
 	}
 
-	fmt.Printf("engine benchmark matrix (scenario engine-matrix: n=128, 50%% spectrum jammed, %d trials/cell, serial)\n\n", trials)
-	fmt.Printf("%-22s  %12s  %14s  %14s  %8s  %14s  %8s\n",
-		"workload", "slots", "dense slots/s", "sparse slots/s", "speedup", "event slots/s", "speedup")
-	fmt.Println(strings.Repeat("-", 104))
+	fmt.Printf("engine benchmark matrix (scenario engine-matrix: n=128, 50%% spectrum jammed, %d trials/cell, serial, fastest of %d passes)\n\n",
+		trials, matrixReps)
+	fmt.Printf("%-22s  %12s  %14s  %14s  %8s  %14s  %9s\n",
+		"workload", "slots", "dense slots/s", "event slots/s", "speedup", "auto slots/s", "auto/best")
+	fmt.Println(strings.Repeat("-", 103))
 	for _, r := range rows {
-		fmt.Printf("%-22s  %12d  %14.0f  %14.0f  %7.2fx  %14.0f  %7.2fx\n",
-			r.Workload, r.Dense.Slots, r.Dense.SlotsPerSec, r.Sparse.SlotsPerSec, r.Speedup,
-			r.Event.SlotsPerSec, r.EventSpeedup)
+		fmt.Printf("%-22s  %12d  %14.0f  %14.0f  %7.2fx  %14.0f  %9.2f\n",
+			r.Workload, r.Dense.Slots, r.Dense.SlotsPerSec, r.Event.SlotsPerSec, r.EventSpeedup,
+			r.Auto.SlotsPerSec, r.AutoVsBest)
 	}
 	fmt.Println("\nengines agreed on total slots for every workload (bit-identity holds)")
 

@@ -38,8 +38,9 @@
 //
 // Executions are deterministic given (Config, Seed); RunTrials fans seeds
 // out over all CPUs, and RunTrialsContext streams metrics (optionally one
-// shard of a multi-machine batch) without buffering. See DESIGN.md for
-// the system inventory and EXPERIMENTS.md for paper-vs-measured results.
+// shard of a multi-machine batch) without buffering. See README.md for
+// the system inventory and `mcbench` (cmd/mcbench) for paper-vs-measured
+// results.
 //
 // # Engine selection
 //
@@ -48,16 +49,18 @@
 //
 //   - EngineDense steps every non-halted node in every slot — the
 //     reference semantics.
-//   - EngineSparse exploits the schedules' sparsity: each node
+//   - EngineEvent exploits the schedules' sparsity: each node
 //     pre-computes its next non-idle slot (the protocol.Sleeper
-//     contract), the engine keeps a bucket-ring wake list, and slot
-//     ranges in which no node acts are skipped in bulk. Eve is still
-//     charged for jamming in skipped ranges — her jam sets are
+//     contract), the engine keeps the wakes in a global event calendar,
+//     and slot ranges in which no node acts are skipped in bulk. Eve is
+//     still charged for jamming in skipped ranges — her jam sets are
 //     unobservable there, so only their aggregate size matters, which
 //     oblivious strategies report via SpendRange. Adaptive jammers and
 //     Observers force per-slot stepping (no range skipping), because
 //     both observe every slot.
-//   - EngineAuto (the default) picks Sparse whenever it applies.
+//   - EngineAuto (the default) picks Event when it can skip and the
+//     schedule is sparse (mean first-wake gap at or above a measured
+//     crossover), and Dense otherwise.
 //
 // Node randomness is skip-sampled: the protocols' per-slot choices are
 // i.i.d. within a step window, so each node draws the geometric gap to
@@ -70,10 +73,10 @@
 //
 // The two engines produce bit-identical Metrics for every configuration
 // and seed; the equivalence matrix and fuzz tests in internal/sim enforce
-// this, and `mcbench -bench-sim BENCH_sim.json` tracks the speedup
-// (≥ 2× on the low-density MultiCastCore scenario; ~5× after the
-// gap-draw refactor). `mcbench -matrix` measures the whole
-// algorithms × engines × densities grid.
+// this, and `mcbench -bench-sim BENCH_sim.json` tracks the event/dense
+// speedup on the low-density MultiCastCore scenario. `mcbench -matrix`
+// measures the whole algorithms × engines × densities grid, Auto
+// included.
 //
 // # Trial-layer determinism
 //

@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"context"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"multicast/internal/cache"
@@ -144,24 +142,5 @@ func TestDriveCacheCorruptEntryResimulated(t *testing.T) {
 	// The miss re-stored the entry: a third run hits every cell again.
 	if _, hits, misses := cacheRun(t, spec, ScheduleStatic, store); hits != 12 || misses != 0 {
 		t.Fatalf("third run: %d hits, %d misses, want 12/0", hits, misses)
-	}
-}
-
-// The cache seam lives in the in-process cell loop; combining it with
-// Spawn subprocesses must be refused up front, not silently ignored.
-func TestDriveCacheRefusesSpawn(t *testing.T) {
-	store, err := cache.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := testSpec(2)
-	_, err = Run(context.Background(), spec, Options{
-		Shards: 1, Dir: t.TempDir(), Cache: store,
-		Spawn: func(ctx context.Context, shard, shards int, artifact string) *exec.Cmd {
-			return exec.CommandContext(ctx, "true")
-		},
-	})
-	if err == nil || !strings.Contains(err.Error(), "in-process") {
-		t.Fatalf("err = %v, want in-process refusal", err)
 	}
 }

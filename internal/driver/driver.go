@@ -5,17 +5,15 @@
 // the shard artifacts into the final summary — the summary the
 // unsharded run would have produced, bit for bit.
 //
-// Workers run either in-process (each shard drives runner.RunSweep
-// under its own campaign.Checkpointer, so a crashed or cancelled driver
-// resumes every shard at its next undone grid cell) or as subprocesses
-// via Options.Spawn (each child writes its shard artifact itself; a
-// failed child is restarted from scratch, since its checkpoint state is
-// its own business). Options.Schedule swaps the static per-shard pools
-// for one work-stealing pool over the whole grid (see steal.go) without
-// changing a byte of any artifact. Either way the artifact directory is the only
-// coordination medium, which is what makes a driven campaign
-// killable: re-running with Options.Resume skips shards whose
-// artifacts are complete, resumes checkpointed ones, and re-merges.
+// Workers run in-process: each shard drives runner.RunSweep under its
+// own campaign.Checkpointer, so a crashed or cancelled driver resumes
+// every shard at its next undone grid cell. Options.Schedule swaps the
+// static per-shard pools for one work-stealing pool over the whole grid
+// (see steal.go) without changing a byte of any artifact. Either way
+// the artifact directory is the only coordination medium, which is
+// what makes a driven campaign killable: re-running with Options.Resume
+// skips shards whose artifacts are complete, resumes checkpointed ones,
+// and re-merges.
 //
 // Options.Chaos is the driver's fault-injection seam: internal/chaos
 // plugs deterministic, seeded failures into the spawn/checkpoint/
@@ -31,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -48,8 +45,7 @@ type Spec struct {
 	// collectors are ignored; shard workers start from CloneEmpty).
 	Template *campaign.Summary
 	// Points are the workload points backing Template.Points, in the
-	// same order. Required for in-process workers; ignored when Spawn
-	// launches subprocesses (the children build their own workloads).
+	// same order.
 	Points []sim.Config
 	// Trials is the trial count per point; must match Template.Trials.
 	Trials int
@@ -70,11 +66,10 @@ type Options struct {
 	// ScheduleStatic (the default, also the zero value) pins shard i to
 	// the cells g ≡ i (mod k); ScheduleSteal runs one work-stealing pool
 	// over the whole grid. Either way the shard artifacts — and the
-	// merged summary — are bit-identical. Steal requires in-process
-	// workers (Spawn must be nil).
+	// merged summary — are bit-identical.
 	Schedule Schedule
-	// Workers caps each in-process shard worker's trial pool; 0 divides
-	// GOMAXPROCS evenly across shards (minimum 1 each).
+	// Workers caps each shard worker's trial pool; 0 divides GOMAXPROCS
+	// evenly across shards (minimum 1 each).
 	Workers int
 	// Retries is how many times a failed shard worker is relaunched
 	// (resuming from its checkpoint) before the campaign fails. 0 means
@@ -89,27 +84,19 @@ type Options struct {
 	// campaign files is refused.
 	Resume bool
 	// CheckpointEvery is the number of grid cells between checkpoint
-	// flushes for in-process workers; 0 or 1 checkpoints every cell.
+	// flushes; 0 or 1 checkpoints every cell.
 	CheckpointEvery int
 	// Progress, if non-nil, receives per-shard events.
 	Progress func(Event)
-	// Spawn, if non-nil, launches shard workers as subprocesses instead
-	// of in-process: it must return a command that runs shard
-	// `shard`/`shards` of the campaign and writes its artifact to
-	// `artifact` (atomically — campaign.Summary.Write does). The driver
-	// validates the artifact after the child exits.
-	Spawn func(ctx context.Context, shard, shards int, artifact string) *exec.Cmd
 	// Cache, if non-nil, is the content-addressed cell result cache:
 	// every grid cell is looked up before it is dispatched — under both
 	// schedules — and a hit flows into the fold exactly like a computed
 	// result, so artifacts, checkpoints, and the merged summary are
 	// byte-identical with or without it. Misses store their result back.
-	// Requires in-process workers (Spawn must be nil): subprocess
-	// children own their own execution and would bypass the seam.
 	Cache *cache.Store
-	// CellHook is a test seam: called after each checkpointed cell of an
-	// in-process shard; an error fails the shard attempt as if the
-	// worker had crashed there.
+	// CellHook is a test seam: called after each checkpointed cell of a
+	// shard; an error fails the shard attempt as if the worker had
+	// crashed there.
 	CellHook func(shard, attempt, done int) error
 	// Chaos, if non-nil, injects deterministic faults into the campaign
 	// fabric (see ChaosHooks and internal/chaos). Implies KeepGoing so
@@ -125,9 +112,7 @@ type Options struct {
 // ChaosHooks is the driver's fault-injection seam. Every field is
 // optional; nil hooks are skipped. internal/chaos provides the standard
 // implementation — a seeded, deterministic schedule — but the driver
-// only depends on this shape, so tests can hand-roll hooks too. The
-// per-cell and per-flush hooks apply to in-process workers; Begin and
-// Gather also cover subprocess runs.
+// only depends on this shape, so tests can hand-roll hooks too.
 type ChaosHooks struct {
 	// Begin is called once per Run before workers launch, with the
 	// shard count — the point where seeded wildcard targets resolve.
@@ -177,7 +162,7 @@ func Run(ctx context.Context, spec Spec, opts Options) (*campaign.Summary, error
 	if spec.Trials != spec.Template.Trials {
 		return nil, fmt.Errorf("driver: spec trials %d != template trials %d", spec.Trials, spec.Template.Trials)
 	}
-	if opts.Spawn == nil && len(spec.Points) != len(spec.Template.Points) {
+	if len(spec.Points) != len(spec.Template.Points) {
 		return nil, fmt.Errorf("driver: %d workload points for %d template points",
 			len(spec.Points), len(spec.Template.Points))
 	}
@@ -192,12 +177,6 @@ func Run(ctx context.Context, spec Spec, opts Options) (*campaign.Summary, error
 		return nil, err
 	}
 	opts.Schedule = sched
-	if sched == ScheduleSteal && opts.Spawn != nil {
-		return nil, fmt.Errorf("driver: schedule %q needs in-process workers, not Spawn subprocesses", ScheduleSteal)
-	}
-	if opts.Cache != nil && opts.Spawn != nil {
-		return nil, fmt.Errorf("driver: the result cache needs in-process workers, not Spawn subprocesses")
-	}
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("driver: campaign directory required (it is the resume state)")
 	}
@@ -216,7 +195,7 @@ func Run(ctx context.Context, spec Spec, opts Options) (*campaign.Summary, error
 	}
 
 	d := &drive{spec: spec, opts: opts, total: len(spec.Template.Points) * spec.Trials}
-	if d.opts.Workers == 0 && d.opts.Spawn == nil {
+	if d.opts.Workers == 0 {
 		d.opts.Workers = max(1, runtime.GOMAXPROCS(0)/opts.Shards)
 	}
 	if opts.Cache != nil {
@@ -337,8 +316,8 @@ func (d *drive) shardTemplate(i int) *campaign.Summary {
 }
 
 // runShard supervises one shard: skip it if its artifact is already
-// complete, otherwise attempt it up to 1+Retries times, resuming
-// in-process attempts from the shard checkpoint.
+// complete, otherwise attempt it up to 1+Retries times, resuming each
+// attempt from the shard checkpoint.
 func (d *drive) runShard(ctx context.Context, i int) error {
 	local := d.localCells(i)
 	for attempt := 0; ; attempt++ {
@@ -352,12 +331,7 @@ func (d *drive) runShard(ctx context.Context, i int) error {
 				return nil
 			}
 		}
-		var err error
-		if d.opts.Spawn != nil {
-			err = d.runSubprocess(ctx, i, attempt, local)
-		} else {
-			err = d.runInProcess(ctx, i, attempt, local)
-		}
+		err := d.runInProcess(ctx, i, attempt, local)
 		if err == nil {
 			d.emit(Event{Shard: i, Kind: EventShardDone, Done: local, Total: local, Attempt: attempt})
 			return nil
@@ -494,34 +468,4 @@ func (d *drive) runInProcess(ctx context.Context, i, attempt, local int) error {
 		return err
 	}
 	return ck.Remove()
-}
-
-// runSubprocess executes one attempt of shard i via Options.Spawn and
-// validates the artifact the child wrote.
-func (d *drive) runSubprocess(ctx context.Context, i, attempt, local int) error {
-	path := ArtifactPath(d.opts.Dir, i)
-	// A failed child restarts from scratch; drop its stale artifact so
-	// completeness checks can't read a half-campaign's leftovers.
-	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	d.emit(Event{Shard: i, Kind: EventStart, Done: 0, Total: local, Attempt: attempt})
-	cmd := d.opts.Spawn(ctx, i, d.opts.Shards, path)
-	if cmd == nil {
-		return fmt.Errorf("driver: spawn returned no command for shard %d", i)
-	}
-	if err := cmd.Run(); err != nil {
-		return fmt.Errorf("driver: shard %d worker: %w", i, err)
-	}
-	done, err := d.shardComplete(i, attempt, local)
-	if err != nil {
-		// A foreign artifact is deterministic, not a torn write worth
-		// retrying. (Corrupt or misdelivered artifacts never reach here:
-		// shardComplete discards them and reports the shard incomplete.)
-		return terminalError{err}
-	}
-	if !done {
-		return fmt.Errorf("driver: shard %d worker exited without writing %s", i, path)
-	}
-	return nil
 }

@@ -3,7 +3,6 @@ package driver
 import (
 	"context"
 	"fmt"
-	"os/exec"
 	"strings"
 	"sync"
 	"testing"
@@ -208,41 +207,6 @@ func TestDriveRefusesDirtyDirWithoutResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameSummaries(t, merged, unsharded(t, spec))
-}
-
-// Subprocess workers: the driver gathers whatever artifacts the
-// children wrote (here: staged by an earlier in-process run) and a
-// failing child burns its bounded retries.
-func TestDriveSpawn(t *testing.T) {
-	spec := testSpec(4)
-	want := unsharded(t, spec)
-
-	// Stage shard artifacts with an in-process drive, then "launch"
-	// children that just copy them into place.
-	staging := t.TempDir()
-	if _, err := Run(context.Background(), spec, Options{Shards: 2, Workers: 1, Dir: staging}); err != nil {
-		t.Fatal(err)
-	}
-	merged, err := Run(context.Background(), spec, Options{
-		Shards: 2, Dir: t.TempDir(),
-		Spawn: func(ctx context.Context, shard, shards int, artifact string) *exec.Cmd {
-			return exec.CommandContext(ctx, "cp", ArtifactPath(staging, shard), artifact)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameSummaries(t, merged, want)
-
-	_, err = Run(context.Background(), spec, Options{
-		Shards: 2, Retries: 1, Dir: t.TempDir(),
-		Spawn: func(ctx context.Context, shard, shards int, artifact string) *exec.Cmd {
-			return exec.CommandContext(ctx, "false")
-		},
-	})
-	if err == nil || !strings.Contains(err.Error(), "failed after 2 attempt(s)") {
-		t.Errorf("err = %v, want a bounded-retry subprocess failure", err)
-	}
 }
 
 // Artifacts in the campaign directory that belong to a different

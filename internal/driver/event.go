@@ -76,8 +76,7 @@ const (
 	// heterogeneous workers finish together instead of idling behind the
 	// slowest shard. The artifact layout is unchanged — a fold stage
 	// replays each shard's cells in ascending grid order, so stealing
-	// changes who computes a cell, never where it lands. Requires
-	// in-process workers (no Options.Spawn).
+	// changes who computes a cell, never where it lands.
 	ScheduleSteal Schedule = "steal"
 )
 

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -150,21 +149,6 @@ func TestStealCrossScheduleResume(t *testing.T) {
 				t.Errorf("cross-schedule resume diverges from a clean k=%d run", k)
 			}
 		})
-	}
-}
-
-// The steal schedule needs in-process workers: a subprocess cannot
-// stream per-cell results back to the fold stage.
-func TestStealRefusesSpawn(t *testing.T) {
-	spec := testSpec(2)
-	_, err := Run(context.Background(), spec, Options{
-		Shards: 2, Dir: t.TempDir(), Schedule: ScheduleSteal,
-		Spawn: func(ctx context.Context, shard, shards int, artifact string) *exec.Cmd {
-			return exec.CommandContext(ctx, "true")
-		},
-	})
-	if err == nil || !strings.Contains(err.Error(), "in-process") {
-		t.Errorf("err = %v, want an in-process-workers refusal", err)
 	}
 }
 

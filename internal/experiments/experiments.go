@@ -1,5 +1,5 @@
-// Package experiments defines the reproduction experiments E1–E14 (see
-// DESIGN.md §3). The paper is a theory paper with no empirical tables, so
+// Package experiments defines the reproduction experiments E1–E14 (listed
+// by `mcbench -list`, with the paper claim each one checks). The paper is a theory paper with no empirical tables, so
 // each experiment operationalises one theorem, lemma, or in-text claim as
 // a measurable workload: a parameter sweep, the adversary the claim is
 // about, and the metric whose scaling shape the claim predicts. The
@@ -29,7 +29,7 @@ type RunConfig struct {
 	// finishes in a couple of minutes (used by benchmarks and CI).
 	Quick bool
 	// Engine overrides the slot-loop implementation for every trial
-	// (zero = Auto). Dense and sparse produce identical metrics; the
+	// (zero = Auto). Dense and event produce identical metrics; the
 	// knob exists to re-run tables on the reference engine or to time
 	// the difference.
 	Engine sim.Engine

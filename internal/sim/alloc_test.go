@@ -10,117 +10,75 @@ import (
 	"multicast/internal/protocol"
 )
 
-// TestSlotLoopAllocFree pins the steady-state allocation rate of all
-// three slot loops at zero on a recycled Executor, at two node counts
-// (n=1024 exercises the buffer-growth paths the small case never
-// touches) and with the parallel stepping pool both off and on. The
+// TestSlotLoopAllocFree pins the steady-state allocation rate of both
+// slot loops at zero on a recycled Executor, at two node counts (n=1024
+// exercises the buffer-growth paths the small case never touches). The
 // workload never halts (full-spectrum jamming with a budget that
 // outlasts MaxSlots), so two runs differing only in MaxSlots isolate the
 // per-slot cost: the per-trial allocations (algorithm instance, nodes,
-// pool wake-up, the ErrMaxSlots wrap) are identical in both and cancel
-// in the subtraction.
+// the ErrMaxSlots wrap) are identical in both and cancel in the
+// subtraction.
 func TestSlotLoopAllocFree(t *testing.T) {
 	for _, n := range []int{128, 1024} {
-		for _, workers := range []int{1, 4} {
-			n, workers := n, workers
-			base := Config{
-				N: n,
-				Algorithm: func() (protocol.Algorithm, error) {
-					return core.NewMultiCast(core.Sim(), n)
-				},
-				Adversary:   adversary.FullBurst(0),
-				Budget:      1 << 40, // Eve outlasts MaxSlots: nodes can never halt
-				Seed:        7,
-				NodeWorkers: workers,
-			}
-			const shortRun, longRun = int64(1) << 10, int64(5) << 10
-			for _, engine := range []Engine{EngineDense, EngineSparse, EngineEvent} {
-				t.Run(fmt.Sprintf("%v/n%d/w%d", engine, n, workers), func(t *testing.T) {
-					exec := NewExecutor()
-					run := func(maxSlots int64) {
-						cfg := base
-						cfg.Engine = engine
-						cfg.MaxSlots = maxSlots
-						if _, err := exec.Run(cfg); !errors.Is(err, ErrMaxSlots) {
-							t.Fatalf("want ErrMaxSlots, got %v", err)
-						}
-					}
-					run(longRun) // grow every pooled buffer past its steady-state size
-					shortAllocs := testing.AllocsPerRun(3, func() { run(shortRun) })
-					longAllocs := testing.AllocsPerRun(3, func() { run(longRun) })
-					perSlot := (longAllocs - shortAllocs) / float64(longRun-shortRun)
-					if perSlot > 0.001 {
-						t.Errorf("slot loop allocates: %.4f allocs/slot (short run %.1f, long run %.1f)",
-							perSlot, shortAllocs, longAllocs)
-					}
-				})
-			}
-		}
-	}
-}
-
-// TestPoolStartAllocBound pins the per-trial cost of the parallel
-// stepping pool on a recycled Executor. The wake/done channels are
-// cached on the pool across runs, so switching k workers on costs only
-// the k-1 goroutine spawns — the bound here fails if a fresh channel
-// set sneaks back into startPool (the allocs_per_slot regression
-// BENCH_sim.json caught at the campaign level).
-func TestPoolStartAllocBound(t *testing.T) {
-	const n, workers = 256, 4
-	mk := func(w int) Config {
-		return Config{
+		n := n
+		base := Config{
 			N: n,
 			Algorithm: func() (protocol.Algorithm, error) {
 				return core.NewMultiCast(core.Sim(), n)
 			},
-			Adversary:   adversary.FullBurst(0),
-			Budget:      1 << 40,
-			Seed:        7,
-			MaxSlots:    256,
-			NodeWorkers: w,
+			Adversary: adversary.FullBurst(0),
+			Budget:    1 << 40, // Eve outlasts MaxSlots: nodes can never halt
+			Seed:      7,
 		}
-	}
-	exec := NewExecutor()
-	run := func(w int) {
-		if _, err := exec.Run(mk(w)); !errors.Is(err, ErrMaxSlots) {
-			t.Fatalf("want ErrMaxSlots, got %v", err)
+		const shortRun, longRun = int64(1) << 10, int64(5) << 10
+		for _, engine := range []Engine{EngineDense, EngineEvent} {
+			t.Run(fmt.Sprintf("%v/n%d", engine, n), func(t *testing.T) {
+				exec := NewExecutor()
+				run := func(maxSlots int64) {
+					cfg := base
+					cfg.Engine = engine
+					cfg.MaxSlots = maxSlots
+					if _, err := exec.Run(cfg); !errors.Is(err, ErrMaxSlots) {
+						t.Fatalf("want ErrMaxSlots, got %v", err)
+					}
+				}
+				run(longRun) // grow every pooled buffer past its steady-state size
+				shortAllocs := testing.AllocsPerRun(3, func() { run(shortRun) })
+				longAllocs := testing.AllocsPerRun(3, func() { run(longRun) })
+				perSlot := (longAllocs - shortAllocs) / float64(longRun-shortRun)
+				if perSlot > 0.001 {
+					t.Errorf("slot loop allocates: %.4f allocs/slot (short run %.1f, long run %.1f)",
+						perSlot, shortAllocs, longAllocs)
+				}
+			})
 		}
-	}
-	run(workers) // size the pool, its channels, and every buffer
-	run(1)
-	serial := testing.AllocsPerRun(10, func() { run(1) })
-	parallel := testing.AllocsPerRun(10, func() { run(workers) })
-	if extra, limit := parallel-serial, float64(3*(workers-1)); extra > limit {
-		t.Errorf("pool start allocates: %.1f extra allocs/trial at %d workers (limit %.0f; serial %.1f, parallel %.1f)",
-			extra, workers, limit, serial, parallel)
 	}
 }
 
 // TestExecutorRecycleMatchesRun: a recycled Executor must be
 // indistinguishable from a fresh Run for every trial, including when the
 // configuration shape changes between trials (N shrinking and growing,
-// engines alternating, the parallel stepping pool switching on and off).
+// engines alternating).
 func TestExecutorRecycleMatchesRun(t *testing.T) {
-	mkCfg := func(n int, engine Engine, workers int, seed uint64) Config {
+	mkCfg := func(n int, engine Engine, seed uint64) Config {
 		return Config{
 			N: n,
 			Algorithm: func() (protocol.Algorithm, error) {
 				return core.NewMultiCast(core.Sim(), n)
 			},
-			Adversary:   adversary.RandomFraction(0.4),
-			Budget:      6_000,
-			Seed:        seed,
-			Engine:      engine,
-			NodeWorkers: workers,
+			Adversary: adversary.RandomFraction(0.4),
+			Budget:    6_000,
+			Seed:      seed,
+			Engine:    engine,
 		}
 	}
 	cfgs := []Config{
-		mkCfg(64, EngineSparse, 1, 1),
-		mkCfg(16, EngineDense, 4, 2), // shrink + parallel pool on
-		mkCfg(64, EngineEvent, 1, 3), // grow back + pool off, lean step
-		mkCfg(32, EngineAuto, 3, 4),
-		mkCfg(32, EngineEvent, 2, 5), // event + pool: full stepSlot path
-		mkCfg(32, EngineDense, 1, 6),
+		mkCfg(64, EngineEvent, 1),
+		mkCfg(16, EngineDense, 2), // shrink
+		mkCfg(64, EngineEvent, 3), // grow back, lean step
+		mkCfg(32, EngineAuto, 4),
+		mkCfg(32, EngineEvent, 5),
+		mkCfg(32, EngineDense, 6),
 	}
 	exec := NewExecutor()
 	for i, cfg := range cfgs {

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -15,7 +16,7 @@ import (
 )
 
 // noRangeSweep is a sweep-like strategy that deliberately does NOT
-// implement adversary.RangeSpender, forcing the sparse engine through its
+// implement adversary.RangeSpender, forcing the event engine through its
 // per-slot Fill fallback for skipped ranges.
 type noRangeSweep struct{ width int }
 
@@ -42,10 +43,9 @@ func noRangeFactory(width int) adversary.Factory {
 }
 
 // TestEngineEquivalenceMatrix is the dense-equivalence oracle for the
-// sparse and event engines: for every algorithm family × adversary class
-// × (N, T) point × seed, a sparse run and an event run must each produce
-// Metrics byte-identical to the dense reference run (and fail
-// identically if they fail). The adversary axis covers nil, closed-form
+// event engine: for every algorithm family × adversary class × (N, T)
+// point × seed, an event run must produce Metrics byte-identical to the
+// dense reference run (and fail identically if it fails). The adversary axis covers nil, closed-form
 // oblivious, randomised oblivious (whose SpendRange must keep the jam
 // stream aligned), a strategy without SpendRange (per-slot fallback),
 // and adaptive (which disables range skipping entirely).
@@ -133,16 +133,14 @@ func TestEngineEquivalenceMatrix(t *testing.T) {
 						}
 						cfg.Engine = EngineDense
 						want, errD := Run(cfg)
-						for _, challenger := range []Engine{EngineSparse, EngineEvent} {
-							cfg.Engine = challenger
-							got, errC := Run(cfg)
-							if (errD == nil) != (errC == nil) ||
-								errors.Is(errD, ErrMaxSlots) != errors.Is(errC, ErrMaxSlots) {
-								t.Fatalf("seed %d: error mismatch: dense %v, %v %v", seed, errD, challenger, errC)
-							}
-							if got != want {
-								t.Fatalf("seed %d: engines diverge\n dense %+v\n %v %+v", seed, want, challenger, got)
-							}
+						cfg.Engine = EngineEvent
+						got, errE := Run(cfg)
+						if (errD == nil) != (errE == nil) ||
+							errors.Is(errD, ErrMaxSlots) != errors.Is(errE, ErrMaxSlots) {
+							t.Fatalf("seed %d: error mismatch: dense %v, event %v", seed, errD, errE)
+						}
+						if got != want {
+							t.Fatalf("seed %d: engines diverge\n dense %+v\n event %+v", seed, want, got)
 						}
 					}
 				})
@@ -152,19 +150,33 @@ func TestEngineEquivalenceMatrix(t *testing.T) {
 }
 
 // TestEngineAutoMatchesDense pins the Auto resolution: whatever engine it
-// picks — sparse for the oblivious all-Sleeper case, dense when an
-// Observer or adaptive Eve forces per-slot work — the metrics must equal
-// the dense reference.
+// picks — event for the sparse oblivious all-Sleeper case, dense when an
+// Observer or adaptive Eve forces per-slot work or the schedule is too
+// dense to skip — the metrics must equal the dense reference. The dense
+// schedule (MultiCastCore at p=1/2) is the case where Auto probes every
+// node's first wake and then settles on dense, so the trial must be
+// rebuilt from its seed; it also runs on a recycled Executor.
 func TestEngineAutoMatchesDense(t *testing.T) {
-	for _, adv := range []adversary.Factory{nil, adversary.RandomFraction(0.5), adversary.Camper(16, 8)} {
-		cfg := Config{
-			N: 32,
-			Algorithm: func() (protocol.Algorithm, error) {
-				return core.NewMultiCast(core.Sim(), 32)
-			},
-			Adversary: adv,
-			Budget:    8_000,
-			Seed:      11,
+	dense := core.Sim()
+	dense.CoreP, dense.CoreA = 0.5, 20
+	cases := []struct {
+		name string
+		alg  func() (protocol.Algorithm, error)
+		adv  adversary.Factory
+		seed uint64
+		want Engine // Auto's resolution
+	}{
+		{"nil", mcast(32), nil, 11, EngineEvent},
+		{"rand", mcast(32), adversary.RandomFraction(0.5), 11, EngineEvent},
+		{"camper", mcast(32), adversary.Camper(16, 8), 11, EngineDense},
+		{"core-p1/2", func() (protocol.Algorithm, error) { return core.NewMultiCastCore(dense, 32, 8_000) },
+			adversary.BlockFraction(0.5), 1, EngineDense},
+	}
+	exec := NewExecutor()
+	for _, tc := range cases {
+		cfg := Config{N: 32, Algorithm: tc.alg, Adversary: tc.adv, Budget: 8_000, Seed: tc.seed}
+		if got, _, err := ResolveAuto(cfg); err != nil || got != tc.want {
+			t.Fatalf("%s: Auto resolves to %v (%v), want %v", tc.name, got, err, tc.want)
 		}
 		cfg.Engine = EngineDense
 		want, err := Run(cfg)
@@ -172,20 +184,22 @@ func TestEngineAutoMatchesDense(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg.Engine = EngineAuto
-		got, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("auto diverges from dense:\n dense %+v\n auto  %+v", want, got)
+		for _, run := range []func(Config) (Metrics, error){Run, exec.Run} {
+			got, err := run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("%s: auto diverges from dense:\n dense %+v\n auto  %+v", tc.name, want, got)
+			}
 		}
 	}
 }
 
-// TestEngineSparseWithObserver: an Observer forces the sparse and event
-// engines to resolve every slot; the per-slot callbacks and the metrics
-// must both match the dense run exactly.
-func TestEngineSparseWithObserver(t *testing.T) {
+// TestEngineEventWithObserver: an Observer forces the event engine to
+// resolve every slot; the per-slot callbacks and the metrics must both
+// match the dense run exactly.
+func TestEngineEventWithObserver(t *testing.T) {
 	type slotRec struct {
 		slot                                                   int64
 		channels, jammed, listeners, broadcasters, inf, halted int
@@ -211,18 +225,16 @@ func TestEngineSparseWithObserver(t *testing.T) {
 		return recs, m
 	}
 	denseRecs, denseM := record(EngineDense)
-	for _, challenger := range []Engine{EngineSparse, EngineEvent} {
-		recs, m := record(challenger)
-		if m != denseM {
-			t.Fatalf("metrics diverge:\n dense %+v\n %v %+v", denseM, challenger, m)
-		}
-		if len(denseRecs) != len(recs) {
-			t.Fatalf("observer saw %d slots dense, %d %v", len(denseRecs), len(recs), challenger)
-		}
-		for i := range denseRecs {
-			if denseRecs[i] != recs[i] {
-				t.Fatalf("slot %d: observer records diverge:\n dense %+v\n %v %+v", i, denseRecs[i], challenger, recs[i])
-			}
+	recs, m := record(EngineEvent)
+	if m != denseM {
+		t.Fatalf("metrics diverge:\n dense %+v\n event %+v", denseM, m)
+	}
+	if len(denseRecs) != len(recs) {
+		t.Fatalf("observer saw %d slots dense, %d event", len(denseRecs), len(recs))
+	}
+	for i := range denseRecs {
+		if denseRecs[i] != recs[i] {
+			t.Fatalf("slot %d: observer records diverge:\n dense %+v\n event %+v", i, denseRecs[i], recs[i])
 		}
 	}
 }
@@ -234,15 +246,27 @@ func (f observerFunc) Slot(slot int64, channels, jammed, listeners, broadcasters
 	f(slot, channels, jammed, listeners, broadcasters, informed, halted)
 }
 
-// TestEngineValidation rejects out-of-range engine values.
+// TestEngineValidation rejects out-of-range engine values and unknown
+// engine names: exactly auto, dense and event exist, and the parse error
+// names all three.
 func TestEngineValidation(t *testing.T) {
-	_, err := Run(Config{
-		N:         16,
-		Algorithm: mcCore(16, 0),
-		Engine:    Engine(9),
-	})
+	for _, e := range []Engine{EngineEvent + 1, Engine(9)} {
+		if _, err := Run(Config{N: 16, Algorithm: mcCore(16, 0), Engine: e}); err == nil {
+			t.Fatalf("accepted %v", e)
+		}
+	}
+	for _, name := range []string{"auto", "dense", "event", "EVENT"} {
+		e, err := ParseEngine(name)
+		if err != nil || !strings.EqualFold(e.String(), name) {
+			t.Fatalf("ParseEngine(%q) = %v, %v", name, e, err)
+		}
+	}
+	_, err := ParseEngine("sparse")
 	if err == nil {
-		t.Fatal("accepted Engine(9)")
+		t.Fatal(`ParseEngine("sparse") succeeded`)
+	}
+	if !strings.Contains(err.Error(), "(have auto, dense, event)") {
+		t.Fatalf("ParseEngine error does not name the engines: %v", err)
 	}
 }
 
@@ -265,15 +289,13 @@ func TestEngineMaxSlotsEquivalence(t *testing.T) {
 	if !errors.Is(errD, ErrMaxSlots) {
 		t.Fatalf("expected ErrMaxSlots from dense, got %v", errD)
 	}
-	for _, challenger := range []Engine{EngineSparse, EngineEvent} {
-		cfg.Engine = challenger
-		got, errC := Run(cfg)
-		if !errors.Is(errC, ErrMaxSlots) {
-			t.Fatalf("expected ErrMaxSlots from %v, got %v", challenger, errC)
-		}
-		if got != want {
-			t.Fatalf("truncated metrics diverge:\n dense %+v\n %v %+v", want, challenger, got)
-		}
+	cfg.Engine = EngineEvent
+	got, errE := Run(cfg)
+	if !errors.Is(errE, ErrMaxSlots) {
+		t.Fatalf("expected ErrMaxSlots from event, got %v", errE)
+	}
+	if got != want {
+		t.Fatalf("truncated metrics diverge:\n dense %+v\n event %+v", want, got)
 	}
 }
 

@@ -1,16 +1,19 @@
-// Event slot engine: the global event-calendar loop. The sparse engine
-// (sparse.go) already skips idle slot ranges, but its wake list is a
-// 64-slot ring — schedules whose gaps regularly exceed the window push
-// half their wakes through the overflow heap, and every executed slot
-// still pays the full radio.Network slot protocol. The event engine
-// replaces both costs:
+// Event slot engine: the paper's schedules leave most nodes idle in most
+// slots, so stepping every node every slot (the dense loop) wastes almost
+// all of its work. Nodes that implement protocol.Sleeper pre-draw their
+// next non-idle slot as one closed-form geometric gap — idle slots
+// consume no randomness at all, in either engine — and the event engine
+// keeps those wakes in a global calendar:
 //
 //   - wakes live in a 4096-slot calendar (eventWheel) with a two-level
 //     occupancy bitmap, so the next network event — the minimum over the
 //     next node wake, the adversary's budget horizon, channel-span
 //     boundaries, and the MaxSlots valve — is found with two or three
-//     word scans, and the overflow heap (the existing wakeHeap) only
-//     sees astronomically rare gaps ≥ 4096;
+//     word scans, and the overflow heap (wakeHeap) only sees gaps ≥ 4096;
+//   - slot ranges in which no node wakes are skipped in bulk, with Eve's
+//     jamming charged in aggregate via adversary.RangeSpender (jam sets
+//     in unobserved slots only matter through their size; see
+//     skipRange/chargeRange);
 //   - slots are resolved by a lean step (stepSlotLean) that collects the
 //     few awake nodes' actions, resolves each listener's channel against
 //     the slot's broadcasts and jam mask directly, and bypasses the
@@ -19,16 +22,15 @@
 //     reproduced call for call (adversary.RangeSpender covers the
 //     no-listener slots where only her spend is observable).
 //
-// The skipped ranges charge Eve exactly as the sparse engine does
-// (skipRange/chargeRange). Executions are bit-identical to the dense
-// engine for every configuration; TestEngineEquivalenceMatrix and
-// FuzzEngineEquivalence pin that down with the event engine as a third
-// column.
+// Executions are bit-identical to the dense engine for every
+// configuration; TestEngineEquivalenceMatrix and FuzzEngineEquivalence
+// pin that down.
 
 package sim
 
 import (
 	"math/bits"
+	"slices"
 
 	"multicast/internal/adversary"
 	"multicast/internal/protocol"
@@ -45,15 +47,64 @@ const (
 	wheelGroups = wheelWindow / 64
 )
 
-// eventWheel is a two-tier calendar queue over wake slots, the event
-// engine's counterpart of wakeRing. Near-future wakes (slot ∈ [base,
-// base+4096)) live in per-slot buckets addressed by slot&4095; buckets
-// are intrusive chains threaded through next (each node has at most one
-// pending wake). Occupancy is a two-level bitmap — group[g] holds one
-// bit per bucket of group g, summary one bit per non-empty group — so
-// the next occupied bucket after any position is found with at most
-// three TrailingZeros scans. Far-future wakes wait in a wakeHeap and
-// migrate in as the window advances.
+// wakeEntry is one node's scheduled wake slot.
+type wakeEntry struct {
+	slot int64
+	id   int32
+}
+
+// wakeHeap is a binary min-heap of wake entries ordered by slot. It backs
+// the calendar's overflow tier, so it only sees far-future wakes.
+type wakeHeap []wakeEntry
+
+func (h *wakeHeap) push(e wakeEntry) {
+	*h = append(*h, e)
+	i := len(*h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if (*h)[i].slot >= (*h)[parent].slot {
+			break
+		}
+		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
+		i = parent
+	}
+}
+
+func (h *wakeHeap) popMin() wakeEntry {
+	old := *h
+	top := old[0]
+	last := len(old) - 1
+	old[0] = old[last]
+	*h = old[:last]
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		smallest := i
+		if l < last && (*h)[l].slot < (*h)[smallest].slot {
+			smallest = l
+		}
+		if r < last && (*h)[r].slot < (*h)[smallest].slot {
+			smallest = r
+		}
+		if smallest == i {
+			break
+		}
+		(*h)[i], (*h)[smallest] = (*h)[smallest], (*h)[i]
+		i = smallest
+	}
+	return top
+}
+
+// eventWheel is a two-tier calendar queue over wake slots. Near-future
+// wakes (slot ∈ [base, base+4096)) live in per-slot buckets addressed by
+// slot&4095; buckets are intrusive chains threaded through next (each
+// node has at most one pending wake). Occupancy is a two-level bitmap —
+// group[g] holds one bit per bucket of group g, summary one bit per
+// non-empty group — so the next occupied bucket after any position is
+// found with at most three TrailingZeros scans. Far-future wakes wait in
+// a wakeHeap and migrate in as the window advances. Same-slot bucket
+// contents come out in ascending id order, because stepSlot requires it
+// for bit-identical transition ordering.
 type eventWheel struct {
 	base     int64   // buckets cover slots [base, base+wheelWindow)
 	head     []int32 // [wheelWindow] chain head per bucket, -1 when empty
@@ -64,8 +115,7 @@ type eventWheel struct {
 	size     int // pending wakes, both tiers
 
 	idbits []uint64 // popSlot id bitmap: one bit per id, zero between pops
-	bucket []int32  // popSlot chain-collection scratch (sorter fallback)
-	sorter runSorter
+	bucket []int32  // popSlot chain-collection scratch (sort fallback)
 }
 
 func newEventWheel(capacity int) *eventWheel {
@@ -303,7 +353,7 @@ func (w *eventWheel) popSlot(cur int64, dst []int) []int {
 	if hi-lo > 4*k+8 {
 		// A handful of ids scattered across a huge id space: the word
 		// scan would dominate. Unmark them (the chain is untouched) and
-		// let the run-merge sorter handle the bucket instead.
+		// sort the bucket instead.
 		for id := h; id >= 0; id = w.next[id] {
 			idb[int(id)>>6] = 0
 		}
@@ -320,19 +370,16 @@ func (w *eventWheel) popSlot(cur int64, dst []int) []int {
 	return dst
 }
 
-// popSlotSorted drains bucket b (chain head h, k entries) through the
-// run-merge sorter: the chain is LIFO, so reversing it restores push
-// order — a concatenation of ascending runs, the sorter's best shape.
+// popSlotSorted drains bucket b (chain head h, k entries) by sorting
+// the collected chain; the scratch slice persists, so this allocates
+// nothing in steady state.
 func (w *eventWheel) popSlotSorted(b int, h int32, k int, dst []int) []int {
 	ids := w.bucket[:0]
 	for id := h; id >= 0; id = w.next[id] {
 		ids = append(ids, id)
 	}
-	for i, j := 0, len(ids)-1; i < j; i, j = i+1, j-1 {
-		ids[i], ids[j] = ids[j], ids[i]
-	}
 	w.bucket = ids
-	w.sorter.sort(ids)
+	slices.Sort(ids)
 	for _, id := range ids {
 		dst = append(dst, int(id))
 	}
@@ -351,28 +398,44 @@ func (w *eventWheel) clearBucket(b int) {
 	}
 }
 
+// pendingBroadcast is one Phase 1 broadcast action buffered by the lean
+// step.
+type pendingBroadcast struct {
+	id      int
+	ch      int
+	payload radio.Payload
+}
+
 // pendingListen is one Phase 1 listen action buffered by the lean step:
 // the listener's id and the channel it tuned to.
 type pendingListen struct {
 	id, ch int32
 }
 
-// runEvent is the event-calendar slot loop. Its control flow mirrors
-// runSparse exactly — advance, find the next event, bulk-skip the gap,
-// execute the wake slot, reschedule — so every adversary call and node
-// call happens in the same order; the differences are the calendar
-// (eventWheel for wakeRing) and the lean slot step.
+// nextWake returns node id's next wake slot at or after now. Nodes without
+// a Sleeper implementation wake every slot, which degenerates gracefully
+// to dense stepping for them alone.
+func (ex *execution) nextWake(id int, now int64) int64 {
+	if sl := ex.sleepers[id]; sl != nil {
+		if w := sl.NextActive(now); w >= now {
+			return w
+		}
+	}
+	return now
+}
+
+// runEvent is the event-calendar slot loop: advance, find the next
+// event, bulk-skip the gap, execute the wake slot, reschedule.
 func (ex *execution) runEvent() (Metrics, error) {
 	maxSlots := ex.maxSlots()
-	// Same degradations as the sparse engine: an adaptive Eve or an
-	// Observer forces every slot to resolve.
+	// Range skipping needs the slots between wakes to be genuinely
+	// unobserved: an adaptive Eve senses every slot, and an Observer wants
+	// every slot reported, so either forces the engine to resolve each
+	// slot (idle nodes are still not stepped) through the full stepSlot.
+	// Otherwise slots resolve through the lean step, without the radio
+	// slot protocol. Either way the results are bit-identical.
 	skipOK := ex.adaptive == nil && ex.cfg.Observer == nil
-	// The lean step resolves channels without the radio slot protocol;
-	// it cannot drive the NodeWorkers pool (and the conditions above
-	// already exclude per-slot observers), so those runs keep the full
-	// stepSlot. Either way the results are bit-identical.
-	lean := skipOK && ex.pool == nil
-	if lean {
+	if skipOK {
 		// The lean steps read each node's pre-slot status from this
 		// mirror — maintained on every transition — instead of paying a
 		// Status interface call per node per slot. Status is a pure
@@ -442,7 +505,7 @@ func (ex *execution) runEvent() (Metrics, error) {
 		wheel.advance(cur)
 		awake = wheel.popSlot(cur, awake[:0])
 
-		if lean {
+		if skipOK {
 			if cur >= spanUntil {
 				spanChannels, spanUntil = ex.channelSpan(cur)
 			}
@@ -584,37 +647,33 @@ func (ex *execution) stepSlotLean(slot int64, ids []int, channels int) {
 		}
 	}
 
-	// Phase 2: resolve each listener's channel. Broadcast registration
-	// order is ascending id, so the first matching buffer entry carries
-	// the payload radio.Listen would deliver.
+	// Phase 2: resolve each listener's channel. The slot's broadcasts
+	// are indexed by channel first (a count, and the position of a
+	// broadcast on it — the only one when a listener can hear a
+	// message), so resolution costs O(listeners + broadcasts), not their
+	// product.
+	if len(bcasts) > 0 && len(listens) > 0 {
+		ex.indexBroadcasts(bcasts, channels)
+	}
 	for _, ln := range listens {
 		ch := int(ln.ch)
 		var fb radio.Feedback
-		if ch < jamPrefix || (maskJam && ex.mask.Test(ch)) {
+		switch {
+		case ch < jamPrefix || (maskJam && ex.mask.Test(ch)):
 			fb = radio.Feedback{Status: radio.Noise}
-		} else if len(bcasts) == 0 {
+		case len(bcasts) == 0 || ex.chanCount[ch] == 0:
 			fb = radio.Feedback{Status: radio.Silence}
-		} else {
-			count := 0
-			var payload radio.Payload
-			for _, bc := range bcasts {
-				if bc.ch == ch {
-					if count == 0 {
-						payload = bc.payload
-					}
-					count++
-				}
-			}
-			switch {
-			case count == 0:
-				fb = radio.Feedback{Status: radio.Silence}
-			case count == 1:
-				fb = radio.Feedback{Status: radio.Message, Payload: payload}
-			default:
-				fb = radio.Feedback{Status: radio.Noise}
-			}
+		case ex.chanCount[ch] == 1:
+			fb = radio.Feedback{Status: radio.Message, Payload: bcasts[ex.chanBcast[ch]].payload}
+		default:
+			fb = radio.Feedback{Status: radio.Noise}
 		}
 		ex.nodes[ln.id].Deliver(fb)
+	}
+	if len(bcasts) > 0 && len(listens) > 0 {
+		for _, bc := range bcasts {
+			ex.chanCount[bc.ch] = 0
+		}
 	}
 	if maskJam {
 		ex.mask.Reset()
@@ -642,6 +701,22 @@ func (ex *execution) stepSlotLean(slot int64, ids []int, channels int) {
 	}
 	for _, tr := range ex.transitions {
 		ex.noteTransition(tr, slot)
+	}
+}
+
+// indexBroadcasts fills the per-channel broadcast index the lean step
+// resolves listeners against: chanCount[ch] broadcasts on channel ch,
+// one of them at bcasts[chanBcast[ch]]. chanCount is all zero between
+// slots — the caller clears exactly the entries it set — so the index
+// costs O(broadcasts), not O(channels).
+func (ex *execution) indexBroadcasts(bcasts []pendingBroadcast, channels int) {
+	if len(ex.chanCount) < channels {
+		ex.chanCount = make([]int32, channels)
+		ex.chanBcast = make([]int32, channels)
+	}
+	for i, bc := range bcasts {
+		ex.chanCount[bc.ch]++
+		ex.chanBcast[bc.ch] = int32(i)
 	}
 }
 
@@ -735,5 +810,69 @@ func (ex *execution) stepSlotLean1(slot int64, id int, channels int) {
 	}
 	if after != before {
 		ex.noteTransition(transition{id: id, before: before, after: after}, slot)
+	}
+}
+
+// skipRange charges Eve for the unexecuted slots [from, to), splitting the
+// range into constant-channel spans.
+func (ex *execution) skipRange(from, to int64) {
+	for from < to {
+		if ex.remaining <= 0 {
+			// Out of budget: the dense loop stops calling Fill entirely,
+			// so there is no strategy state (or RNG) left to advance.
+			return
+		}
+		channels, until := ex.channelSpan(from)
+		end := until
+		if end > to {
+			end = to
+		}
+		ex.chargeRange(from, end, channels)
+		from = end
+	}
+}
+
+// channelSpan returns the channel count at slot and the end of the span
+// over which it is known constant.
+func (ex *execution) channelSpan(slot int64) (int, int64) {
+	if ex.spanner != nil {
+		channels, until := ex.spanner.ChannelSpan(slot)
+		if until <= slot {
+			until = slot + 1
+		}
+		return channels, until
+	}
+	return ex.alg.Channels(slot), slot + 1
+}
+
+// chargeRange spends Eve's budget for skipped slots [from, to), all with
+// the same channel count. The aggregate path asks the strategy for its
+// ideal total and caps it at the remaining budget — the dense per-slot
+// spend min(count, remaining) telescopes to exactly that. Strategies
+// without SpendRange fall back to per-slot Fill against a scratch mask,
+// reproducing the dense loop's accounting call for call.
+func (ex *execution) chargeRange(from, to int64, channels int) {
+	if rs := ex.ranged; rs != nil {
+		spend := rs.SpendRange(from, to, channels)
+		if spend > ex.remaining {
+			spend = ex.remaining
+		}
+		ex.remaining -= spend
+		ex.net.ChargeEve(spend)
+		return
+	}
+	ex.mask.Grow(channels)
+	for s := from; s < to && ex.remaining > 0; s++ {
+		count := ex.adv.Fill(s, channels, ex.mask)
+		if count == 0 {
+			continue
+		}
+		ex.mask.Reset()
+		spend := int64(count)
+		if spend > ex.remaining {
+			spend = ex.remaining
+		}
+		ex.remaining -= spend
+		ex.net.ChargeEve(spend)
 	}
 }
